@@ -42,3 +42,53 @@ func TestDoBatchCacheHitAllocs(t *testing.T) {
 		t.Fatalf("cache-hit DoBatch allocates %.2f per request (%.1f per batch); the batched hit path has regressed", perReq, perBatch)
 	}
 }
+
+// TestResolveMissAllocs guards the batched all-miss path: every entry
+// of every batch is a network the Session has never seen, so each one
+// is parsed, canonicalized, digested, compiled and verified. The
+// resolve step builds the greedy layer schedule once, into a single
+// layer-ordered slice, so a miss costs a few dozen allocations per
+// request, most of them what the Session keeps: the canonical
+// network, its digest, the compiled program, the verdict and their
+// cache entries. The bound is ~2x the measured value (≈25
+// per request on go1.24): a regression to per-layer or per-comparator
+// garbage in parse, canonicalize or compile trips it.
+func TestResolveMissAllocs(t *testing.T) {
+	sess := NewSession(WithWorkers(1))
+	defer sess.Close()
+
+	const batch, runs = 64, 20
+	rng := rand.New(rand.NewSource(6))
+	seen := make(map[string]bool)
+	batches := make([][]Request, runs+1) // AllocsPerRun adds one warm-up call
+	for b := range batches {
+		batches[b] = make([]Request, batch)
+		for i := range batches[b] {
+			var text string
+			for text == "" || seen[text] {
+				text = network.Random(8, 15+i%6, rng).Format()
+			}
+			seen[text] = true
+			batches[b][i] = Request{Network: text}
+		}
+	}
+	ctx := context.Background()
+	next := 0
+	perBatch := testing.AllocsPerRun(runs, func() {
+		vs, err := sess.DoBatch(ctx, batches[next])
+		if err != nil {
+			t.Fatalf("miss batch: %v", err)
+		}
+		for _, v := range vs {
+			if v.Source != "miss" {
+				t.Fatalf("entry answered as %q, want miss", v.Source)
+			}
+		}
+		next++
+	})
+	perReq := perBatch / batch
+	t.Logf("all-miss DoBatch: %.1f allocs per %d-request batch, %.2f per request", perBatch, batch, perReq)
+	if perReq > 50 {
+		t.Fatalf("all-miss DoBatch allocates %.2f per request (%.1f per batch); the resolve-miss path has regressed", perReq, perBatch)
+	}
+}

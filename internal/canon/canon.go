@@ -31,30 +31,21 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sort"
 
 	"sortnets/internal/network"
 )
 
 // Normalize returns the canonical presentation of a standard network:
 // comparators are grouped into their greedy data-independent layers
-// (exactly the schedule network.Layers computes) and sorted by
+// (exactly the schedule network.Layers computes) and ordered by
 // (A, B) within each layer. The result computes the same function as
 // w on every input — comparators within a layer touch disjoint lines,
 // so they commute — and Normalize is a fixpoint: applying it twice
-// yields the same comparator sequence. w is not modified.
+// yields the same comparator sequence. w is not modified. It panics
+// like network.Add on a nonstandard or out-of-range comparator.
 func Normalize(w *network.Network) *network.Network {
 	out := network.New(w.N)
-	for _, layer := range w.Layers() {
-		layer = append([]network.Comparator(nil), layer...)
-		sort.Slice(layer, func(i, j int) bool {
-			if layer[i].A != layer[j].A {
-				return layer[i].A < layer[j].A
-			}
-			return layer[i].B < layer[j].B
-		})
-		out.Add(layer...)
-	}
+	out.Comps = w.CanonicalOrder()
 	return out
 }
 
@@ -84,22 +75,26 @@ func Untangle(n int, pairs [][2]int) (*network.Network, []int, error) {
 	for i := range r {
 		r[i] = i
 	}
-	s := network.New(n)
+	comps := make([]network.Comparator, len(pairs))
 	for idx, p := range pairs {
 		i, j := p[0], p[1]
 		if i < 0 || j < 0 || i >= n || j >= n || i == j {
 			return nil, nil, fmt.Errorf("canon: comparator %d (%d,%d) invalid on %d lines", idx, i, j, n)
 		}
+		// r is a permutation of [0, n) and i != j, so a and b are
+		// distinct lines in range: the emitted comparator is standard.
 		a, b := r[i], r[j]
 		if a < b {
-			s.AddPair(a, b)
+			comps[idx] = network.Comparator{A: a, B: b}
 		} else {
 			// Tangled: emit the standard orientation and swap the lane
 			// names so downstream comparators (and the outputs) follow.
-			s.AddPair(b, a)
+			comps[idx] = network.Comparator{A: b, B: a}
 			r[i], r[j] = b, a
 		}
 	}
+	s := network.New(n)
+	s.Comps = comps
 	return s, r, nil
 }
 
@@ -131,32 +126,36 @@ func Digest(w *network.Network) [sha256.Size]byte {
 // not pay for normalizing twice.
 func Canonicalize(w *network.Network) (*network.Network, string) {
 	c := Normalize(w)
-	d := digestNormalized(c)
-	return c, hex.EncodeToString(d[:])
+	return c, hexDigest(digestNormalized(c))
 }
 
-// digestNormalized hashes an already-canonical network.
+// digestNormalized hashes an already-canonical network: the version
+// tag, then N, the comparator count and each comparator's A and B as
+// uvarints. The encoding is built in a stack buffer, which holds about
+// 490 comparators on fewer than 128 lines; a longer one grows onto the
+// heap.
 func digestNormalized(c *network.Network) [sha256.Size]byte {
-	h := sha256.New()
-	h.Write([]byte(digestVersion))
-	var buf [binary.MaxVarintLen64]byte
-	put := func(v int) {
-		h.Write(buf[:binary.PutUvarint(buf[:], uint64(v))])
-	}
-	put(c.N)
-	put(len(c.Comps))
+	var scratch [1024]byte
+	buf := append(scratch[:0], digestVersion...)
+	buf = binary.AppendUvarint(buf, uint64(c.N))
+	buf = binary.AppendUvarint(buf, uint64(len(c.Comps)))
 	for _, cmp := range c.Comps {
-		put(cmp.A)
-		put(cmp.B)
+		buf = binary.AppendUvarint(buf, uint64(cmp.A))
+		buf = binary.AppendUvarint(buf, uint64(cmp.B))
 	}
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
-	return out
+	return sha256.Sum256(buf)
+}
+
+// hexDigest renders a digest as lowercase hex, allocating only the
+// returned string.
+func hexDigest(d [sha256.Size]byte) string {
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], d[:])
+	return string(out[:])
 }
 
 // DigestString is Digest rendered as lowercase hex — the cache-key
 // form used by the serving layer.
 func DigestString(w *network.Network) string {
-	d := Digest(w)
-	return hex.EncodeToString(d[:])
+	return hexDigest(Digest(w))
 }

@@ -80,6 +80,20 @@ func TestDigestStableAcrossLayerReordering(t *testing.T) {
 	}
 }
 
+// TestNormalizeRejectsInvalidComparator: a hand-built network whose
+// comparator leaves the line range panics with network.Add's message
+// rather than an index-out-of-range crash.
+func TestNormalizeRejectsInvalidComparator(t *testing.T) {
+	w := &network.Network{N: 4, Comps: []network.Comparator{{A: 0, B: 1}, {A: 2, B: 7}}}
+	const want = "network: invalid comparator [3,8] on 4 lines"
+	defer func() {
+		if r := recover(); r != want {
+			t.Errorf("Normalize panic = %v, want %q", r, want)
+		}
+	}()
+	Normalize(w)
+}
+
 func TestDigestDistinguishesNetworks(t *testing.T) {
 	a := network.MustParse("n=4: [1,3][2,4][1,2][3,4]")
 	b := network.MustParse("n=4: [1,3][2,4][1,2]")

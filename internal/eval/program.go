@@ -63,47 +63,19 @@ type Program struct {
 }
 
 // Compile builds the compiled form of a healthy network: comparators
-// are packed into their greedy data-independent layers (the depth
-// schedule of network.Depth/Layers) and emitted layer by layer.
-// Comparators on disjoint lines commute, so the reordering preserves
-// behaviour exactly while freeing the CPU to overlap the ops of a
-// layer. The program does not alias the network: later mutation of w
-// leaves the program untouched.
+// are packed into their greedy data-independent layers (the schedule
+// of network.Schedule, which Depth and Layers also read) and emitted
+// layer by layer. Comparators on disjoint lines commute, so the
+// reordering preserves behaviour exactly while freeing the CPU to
+// overlap the ops of a layer. The program does not alias the network:
+// later mutation of w leaves the program untouched.
 func Compile(w *network.Network) *Program {
-	busy := make([]int, w.N)
-	depth := 0
-	layerOf := make([]int, len(w.Comps))
-	counts := []int{}
-	for i, c := range w.Comps {
-		layer := busy[c.A]
-		if busy[c.B] > layer {
-			layer = busy[c.B]
-		}
-		layer++
-		busy[c.A], busy[c.B] = layer, layer
-		layerOf[i] = layer - 1
-		for len(counts) < layer {
-			counts = append(counts, 0)
-		}
-		counts[layer-1]++
-		if layer > depth {
-			depth = layer
-		}
-	}
-	levels := make([]int, depth+1)
-	for l := 0; l < depth; l++ {
-		levels[l+1] = levels[l] + counts[l]
-	}
-	ops := make([]Op, len(w.Comps))
-	comps := make([]network.Comparator, len(w.Comps))
-	pairs := make([][2]int, len(w.Comps))
-	fill := append([]int(nil), levels[:depth]...)
-	for i, c := range w.Comps {
-		at := fill[layerOf[i]]
-		fill[layerOf[i]]++
-		ops[at] = Op{Kind: OpCmp, A: c.A, B: c.B}
-		comps[at] = c
-		pairs[at] = [2]int{c.A, c.B}
+	comps, levels := w.Schedule()
+	ops := make([]Op, len(comps))
+	pairs := make([][2]int, len(comps))
+	for i, c := range comps {
+		ops[i] = Op{Kind: OpCmp, A: c.A, B: c.B}
+		pairs[i] = [2]int{c.A, c.B}
 	}
 	return &Program{n: w.N, ops: ops, pure: true, comps: comps, pairs: pairs, levels: levels}
 }

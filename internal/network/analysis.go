@@ -116,11 +116,7 @@ func (w *Network) RemoveRedundant() *Network {
 // unchanged — the greedy layering is already what Depth measures.
 func (w *Network) Compact() *Network {
 	out := New(w.N)
-	for _, layer := range w.Layers() {
-		for _, c := range layer {
-			out.AddPair(c.A, c.B)
-		}
-	}
+	out.Comps, _ = w.Schedule()
 	return out
 }
 

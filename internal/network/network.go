@@ -74,12 +74,16 @@ func New(n int) *Network {
 func (w *Network) Add(comps ...Comparator) *Network {
 	for _, c := range comps {
 		if !c.Valid(w.N) {
-			panic(fmt.Sprintf("network: invalid comparator %v on %d lines", c, w.N))
+			panic(invalidComparator(c, w.N))
 		}
 		w.Comps = append(w.Comps, c)
 	}
 	w.pairs.Store(nil)
 	return w
+}
+
+func invalidComparator(c Comparator, n int) string {
+	return fmt.Sprintf("network: invalid comparator %v on %d lines", c, n)
 }
 
 // AddPair appends the comparator [a,b] given 0-based lines.
@@ -152,33 +156,154 @@ func (w *Network) Sorts(v bitvec.Vec) bool { return w.ApplyVec(v).IsSorted() }
 // Depth returns the number of parallel stages when comparators are
 // packed greedily into layers (comparators touching disjoint lines may
 // fire simultaneously).
-func (w *Network) Depth() int {
-	busy := make([]int, w.N)
-	depth := 0
-	for _, c := range w.Comps {
-		layer := max(busy[c.A], busy[c.B]) + 1
-		busy[c.A], busy[c.B] = layer, layer
-		if layer > depth {
-			depth = layer
-		}
-	}
-	return depth
-}
+func (w *Network) Depth() int { return w.levelize(nil) }
 
 // Layers groups comparators into the greedy parallel stages counted by
-// Depth.
+// Depth, each stage in submission order. The stages share one backing
+// array; appending to one never overwrites the next.
 func (w *Network) Layers() [][]Comparator {
-	busy := make([]int, w.N)
-	var layers [][]Comparator
-	for _, c := range w.Comps {
-		layer := max(busy[c.A], busy[c.B]) + 1
-		busy[c.A], busy[c.B] = layer, layer
-		for len(layers) < layer {
-			layers = append(layers, nil)
-		}
-		layers[layer-1] = append(layers[layer-1], c)
+	comps, levels := w.schedule(false, true)
+	layers := make([][]Comparator, len(levels)-1)
+	for l := range layers {
+		layers[l] = comps[levels[l]:levels[l+1]:levels[l+1]]
 	}
 	return layers
+}
+
+// Schedule returns the comparators packed into their greedy stages in
+// one slice: stage l is comps[levels[l]:levels[l+1]], and len(levels)
+// is Depth()+1. Each stage keeps submission order. This is the order
+// the compiled engine evaluates in: comparators within a stage touch
+// disjoint lines and commute, so it computes the same function as w.
+func (w *Network) Schedule() (comps []Comparator, levels []int) {
+	return w.schedule(false, true)
+}
+
+// CanonicalOrder returns the comparators stage by stage like Schedule,
+// with each stage ordered by line. Within a stage every line occurs at
+// most once, so ordering by the top line A is the (A, B) order and has
+// no ties: two writings of one circuit that differ only in how their
+// stages were interleaved share a CanonicalOrder.
+func (w *Network) CanonicalOrder() []Comparator {
+	comps, _ := w.schedule(true, false)
+	return comps
+}
+
+// Networks up to stackLines lines and stackComps comparators are
+// scheduled with scratch on the stack; larger ones allocate it.
+const (
+	stackLines = 64
+	stackComps = 128
+)
+
+// levelize computes the greedy layer schedule, the one every layered
+// view of a network reads: a comparator fires in the first stage after
+// the last stage that used either of its lines. It stores comparator
+// i's 0-based stage in stage[i] when stage is non-nil, and returns the
+// depth. It panics like Add on a nonstandard or out-of-range
+// comparator.
+func (w *Network) levelize(stage []int32) int {
+	var scratch [stackLines]int32
+	busy := scratch[:]
+	if w.N > len(scratch) {
+		busy = make([]int32, w.N)
+	}
+	depth := int32(0)
+	for i, c := range w.Comps {
+		if !c.Valid(w.N) {
+			panic(invalidComparator(c, w.N))
+		}
+		l := busy[c.A]
+		if busy[c.B] > l {
+			l = busy[c.B]
+		}
+		busy[c.A], busy[c.B] = l+1, l+1
+		if stage != nil {
+			stage[i] = l
+		}
+		if l+1 > depth {
+			depth = l + 1
+		}
+	}
+	return int(depth)
+}
+
+// schedule counting-sorts the comparators by stage into one slice.
+// With byLine, comparators are visited by top line (a stable counting
+// sort on A) before they are dealt out, so each stage fills in line
+// order; otherwise each stage keeps submission order. levels is
+// returned only when withLevels is set.
+func (w *Network) schedule(byLine, withLevels bool) (comps []Comparator, levels []int) {
+	m := len(w.Comps)
+	var stageBuf, orderBuf [stackComps]int32
+	var startBuf [stackComps + 1]int32
+	stage := stageBuf[:0]
+	if m > len(stageBuf) {
+		stage = make([]int32, m)
+	}
+	stage = stage[:m]
+	depth := w.levelize(stage)
+
+	// start[l+1] counts stage l, then prefix sums turn start[l] into
+	// stage l's first slot.
+	start := startBuf[:0]
+	if depth >= len(startBuf) {
+		start = make([]int32, depth+1)
+	}
+	start = start[:depth+1]
+	for _, l := range stage {
+		start[l+1]++
+	}
+	for l := 1; l <= depth; l++ {
+		start[l] += start[l-1]
+	}
+
+	comps = make([]Comparator, m)
+	if byLine && m > 0 { // with a comparator, N ≥ 2 sizes count
+		var countBuf [stackLines + 1]int32
+		count := countBuf[:0]
+		if w.N >= len(countBuf) {
+			count = make([]int32, w.N+1)
+		}
+		count = count[:w.N+1]
+		for _, c := range w.Comps {
+			count[c.A+1]++
+		}
+		for a := 1; a < len(count); a++ {
+			count[a] += count[a-1]
+		}
+		order := orderBuf[:0]
+		if m > len(orderBuf) {
+			order = make([]int32, m)
+		}
+		order = order[:m]
+		for i, c := range w.Comps {
+			order[count[c.A]] = int32(i)
+			count[c.A]++
+		}
+		for _, i := range order {
+			l := stage[i]
+			comps[start[l]] = w.Comps[i]
+			start[l]++
+		}
+	} else {
+		for i, c := range w.Comps {
+			l := stage[i]
+			comps[start[l]] = c
+			start[l]++
+		}
+	}
+	// Dealing advanced start[l] to the end of stage l, which is where
+	// stage l+1 begins: shift once to get the offsets.
+	copy(start[1:], start[:depth])
+	start[0] = 0
+	if withLevels {
+		levels = make([]int, depth+1)
+		for l, at := range start {
+			levels[l] = int(at)
+		}
+	}
+	return comps, levels
 }
 
 // Height returns the maximum comparator span max(b−a), the parameter of
@@ -299,13 +424,6 @@ func RandomHeightBounded(n, size, h int, rng *rand.Rand) *Network {
 		w.AddPair(a, b)
 	}
 	return w
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func min(a, b int) int {

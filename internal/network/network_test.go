@@ -285,6 +285,98 @@ func TestDepthAndLayers(t *testing.T) {
 	}
 }
 
+// naiveStages is the greedy layer schedule computed the direct way,
+// one growing slice per stage: the oracle for schedule.
+func naiveStages(w *Network) [][]Comparator {
+	busy := make([]int, w.N)
+	var stages [][]Comparator
+	for _, c := range w.Comps {
+		l := max(busy[c.A], busy[c.B]) + 1
+		busy[c.A], busy[c.B] = l, l
+		for len(stages) < l {
+			stages = append(stages, nil)
+		}
+		stages[l-1] = append(stages[l-1], c)
+	}
+	return stages
+}
+
+// TestScheduleMatchesNaiveStages checks Depth, Layers, Schedule and
+// CanonicalOrder against naiveStages, on both sides of the stack
+// scratch limits (more than 64 lines, more than 128 comparators).
+func TestScheduleMatchesNaiveStages(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	shapes := [][2]int{{2, 0}, {2, 5}, {8, 19}, {16, 60}, {64, 128}, {64, 129}, {65, 40}, {96, 600}, {300, 1000}}
+	for _, sh := range shapes {
+		for trial := 0; trial < 5; trial++ {
+			w := Random(sh[0], sh[1], rng)
+			want := naiveStages(w)
+			if d := w.Depth(); d != len(want) {
+				t.Fatalf("n=%d m=%d: Depth %d, want %d", sh[0], sh[1], d, len(want))
+			}
+			layers := w.Layers()
+			comps, levels := w.Schedule()
+			canonical := w.CanonicalOrder()
+			if len(layers) != len(want) || len(levels) != len(want)+1 || len(comps) != w.Size() || len(canonical) != w.Size() {
+				t.Fatalf("n=%d m=%d: %d layers, %d levels, %d/%d comparators; want %d stages of %d comparators",
+					sh[0], sh[1], len(layers), len(levels), len(comps), len(canonical), len(want), w.Size())
+			}
+			for l, stage := range want {
+				byLine := append([]Comparator(nil), stage...)
+				sort.Slice(byLine, func(i, j int) bool {
+					if byLine[i].A != byLine[j].A {
+						return byLine[i].A < byLine[j].A
+					}
+					return byLine[i].B < byLine[j].B
+				})
+				for i, c := range stage {
+					at := levels[l] + i
+					if layers[l][i] != c || comps[at] != c || canonical[at] != byLine[i] {
+						t.Fatalf("n=%d m=%d stage %d slot %d: layer %v, schedule %v, canonical %v; want %v and %v",
+							sh[0], sh[1], l, i, layers[l][i], comps[at], canonical[at], c, byLine[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLayersDoNotAlias: the stages share one backing array, so an
+// append to one stage must not overwrite the next.
+func TestLayersDoNotAlias(t *testing.T) {
+	w := fig1()
+	layers := w.Layers()
+	_ = append(layers[0], Comparator{A: 0, B: 1})
+	if layers[1][0] != (Comparator{A: 0, B: 1}) || layers[1][1] != (Comparator{A: 2, B: 3}) {
+		t.Errorf("append to stage 0 changed stage 1: %v", layers[1])
+	}
+}
+
+// TestScheduleRejectsInvalidComparator: a hand-built network with an
+// out-of-range or nonstandard comparator panics with Add's message,
+// not an index-out-of-range crash.
+func TestScheduleRejectsInvalidComparator(t *testing.T) {
+	for _, c := range []Comparator{{A: 0, B: 4}, {A: 2, B: 1}, {A: -1, B: 2}, {A: 1, B: 100}} {
+		w := &Network{N: 4, Comps: []Comparator{{A: 0, B: 1}, c}}
+		want := "network: invalid comparator " + c.String() + " on 4 lines"
+		for name, f := range map[string]func(){
+			"Depth":          func() { w.Depth() },
+			"Layers":         func() { w.Layers() },
+			"Schedule":       func() { w.Schedule() },
+			"CanonicalOrder": func() { w.CanonicalOrder() },
+		} {
+			func() {
+				defer func() {
+					if r := recover(); r != want {
+						t.Errorf("%s on %v: panic %v, want %q", name, c, r, want)
+					}
+				}()
+				f()
+			}()
+		}
+	}
+}
+
 func TestHeight(t *testing.T) {
 	if h := fig1().Height(); h != 2 {
 		t.Errorf("Fig.1 height = %d, want 2", h)

@@ -42,7 +42,13 @@ func (w *Network) Format() string {
 }
 
 // Parse reads the text format. An explicit "n=<k>:" prefix fixes the
-// line count; otherwise it is inferred from the largest line used.
+// line count, which must not be negative; otherwise it is inferred
+// from the largest line used.
+//
+// It is one left-to-right scan that allocates only the network it
+// returns: the comparator slice is sized from the count of '[' up
+// front (exact for every accepted input, whose comparators contain
+// no other '[').
 func Parse(s string) (*Network, error) {
 	s = strings.TrimSpace(s)
 	n := -1
@@ -55,10 +61,13 @@ func Parse(s string) (*Network, error) {
 		if err != nil {
 			return nil, fmt.Errorf("network: bad line count in %q: %v", s, err)
 		}
+		if v < 0 {
+			return nil, fmt.Errorf("network: negative line count %d in %q", v, s)
+		}
 		n = v
 		s = strings.TrimSpace(s[colon+1:])
 	}
-	var comps []Comparator
+	comps := make([]Comparator, 0, strings.Count(s, "["))
 	maxLine := 0
 	for len(s) > 0 {
 		if s[0] != '[' {
@@ -69,17 +78,18 @@ func Parse(s string) (*Network, error) {
 			return nil, fmt.Errorf("network: unterminated comparator in %q", s)
 		}
 		body := s[1:close]
-		parts := strings.Split(body, ",")
-		if len(parts) != 2 {
+		comma := strings.IndexByte(body, ',')
+		if comma < 0 || strings.IndexByte(body[comma+1:], ',') >= 0 {
 			return nil, fmt.Errorf("network: comparator %q must have two lines", body)
 		}
-		a, err := strconv.Atoi(strings.TrimSpace(parts[0]))
+		left, right := body[:comma], body[comma+1:]
+		a, err := strconv.Atoi(strings.TrimSpace(left))
 		if err != nil {
-			return nil, fmt.Errorf("network: bad line %q: %v", parts[0], err)
+			return nil, fmt.Errorf("network: bad line %q: %v", left, err)
 		}
-		b, err := strconv.Atoi(strings.TrimSpace(parts[1]))
+		b, err := strconv.Atoi(strings.TrimSpace(right))
 		if err != nil {
-			return nil, fmt.Errorf("network: bad line %q: %v", parts[1], err)
+			return nil, fmt.Errorf("network: bad line %q: %v", right, err)
 		}
 		if a < 1 || b < 1 {
 			return nil, fmt.Errorf("network: lines are 1-based, got [%d,%d]", a, b)

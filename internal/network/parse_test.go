@@ -2,7 +2,9 @@ package network
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -62,24 +64,110 @@ func TestParseWhitespace(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"n=4 [1,2]",    // missing colon
-		"n=x: [1,2]",   // bad count
-		"n=4: [2,1]",   // nonstandard
-		"n=4: [1,1]",   // degenerate
-		"n=4: [0,2]",   // 0-based input
-		"n=2: [1,3]",   // out of range
-		"n=4: [1,2",    // unterminated
-		"n=4: [1]",     // one line
-		"n=4: [1,2,3]", // three lines
-		"n=4: (1,2)",   // wrong brackets
-		"n=4: [a,b]",   // not numbers
+	bad := []struct{ in, msg string }{
+		{"n=4 [1,2]", `network: missing ':' after n= prefix in "n=4 [1,2]"`},
+		{"n=x: [1,2]", `network: bad line count in "n=x: [1,2]": strconv.Atoi: parsing "x": invalid syntax`},
+		{"n=-3: [1,2][2,3]", `network: negative line count -3 in "n=-3: [1,2][2,3]"`},
+		{"n=4: [2,1]", "network: nonstandard comparator [2,1] (need a < b)"},
+		{"n=4: [1,1]", "network: nonstandard comparator [1,1] (need a < b)"},
+		{"n=4: [0,2]", "network: lines are 1-based, got [0,2]"},
+		{"n=2: [1,3]", "network: comparator 0 ([1,3]) invalid on 2 lines"},
+		{"n=4: [1,2", `network: unterminated comparator in "[1,2"`},
+		{"n=4: [1]", `network: comparator "1" must have two lines`},
+		{"n=4: [1,2,3]", `network: comparator "1,2,3" must have two lines`},
+		{"n=4: (1,2)", `network: expected '[' at "(1,2)"`},
+		{"n=4: [a,b]", `network: bad line "a": strconv.Atoi: parsing "a": invalid syntax`},
+		{"n=4: [1, x]", `network: bad line " x": strconv.Atoi: parsing "x": invalid syntax`},
+		{"[1,99999999999999999999]", `network: bad line "99999999999999999999": strconv.Atoi: parsing "99999999999999999999": value out of range`},
 	}
-	for _, s := range bad {
-		if _, err := Parse(s); err == nil {
-			t.Errorf("Parse(%q) should fail", s)
+	for _, tc := range bad {
+		_, err := Parse(tc.in)
+		if err == nil {
+			t.Errorf("Parse(%q) should fail", tc.in)
+			continue
+		}
+		if err.Error() != tc.msg {
+			t.Errorf("Parse(%q) error:\n got %s\nwant %s", tc.in, err, tc.msg)
 		}
 	}
+}
+
+// TestParseNegativeLineCount pins the one behaviour Parse changed from
+// parseReference: an explicit negative count used to fall through to
+// "infer n", so "n=-3: [1,2][2,3]" parsed as a 3-line network.
+func TestParseNegativeLineCount(t *testing.T) {
+	for _, s := range []string{"n=-3: [1,2][2,3]", "n=-1:", "n= -7 : [1,2]"} {
+		if w, err := Parse(s); err == nil {
+			t.Errorf("Parse(%q) = %s, want a negative-line-count error", s, w.Format())
+		}
+	}
+}
+
+// parseReference is the text parser as it stood before Parse became a
+// single allocation-light scan, kept as FuzzParse's oracle: Parse must
+// return the same network or the byte-identical error. Its one change
+// is the negative line count check, which both parsers share.
+func parseReference(s string) (*Network, error) {
+	s = strings.TrimSpace(s)
+	n := -1
+	if strings.HasPrefix(s, "n=") {
+		colon := strings.Index(s, ":")
+		if colon < 0 {
+			return nil, fmt.Errorf("network: missing ':' after n= prefix in %q", s)
+		}
+		v, err := strconv.Atoi(strings.TrimSpace(s[2:colon]))
+		if err != nil {
+			return nil, fmt.Errorf("network: bad line count in %q: %v", s, err)
+		}
+		if v < 0 {
+			return nil, fmt.Errorf("network: negative line count %d in %q", v, s)
+		}
+		n = v
+		s = strings.TrimSpace(s[colon+1:])
+	}
+	var comps []Comparator
+	maxLine := 0
+	for len(s) > 0 {
+		if s[0] != '[' {
+			return nil, fmt.Errorf("network: expected '[' at %q", s)
+		}
+		close := strings.IndexByte(s, ']')
+		if close < 0 {
+			return nil, fmt.Errorf("network: unterminated comparator in %q", s)
+		}
+		body := s[1:close]
+		parts := strings.Split(body, ",")
+		if len(parts) != 2 {
+			return nil, fmt.Errorf("network: comparator %q must have two lines", body)
+		}
+		a, err := strconv.Atoi(strings.TrimSpace(parts[0]))
+		if err != nil {
+			return nil, fmt.Errorf("network: bad line %q: %v", parts[0], err)
+		}
+		b, err := strconv.Atoi(strings.TrimSpace(parts[1]))
+		if err != nil {
+			return nil, fmt.Errorf("network: bad line %q: %v", parts[1], err)
+		}
+		if a < 1 || b < 1 {
+			return nil, fmt.Errorf("network: lines are 1-based, got [%d,%d]", a, b)
+		}
+		if a >= b {
+			return nil, fmt.Errorf("network: nonstandard comparator [%d,%d] (need a < b)", a, b)
+		}
+		comps = append(comps, Comparator{A: a - 1, B: b - 1})
+		if b > maxLine {
+			maxLine = b
+		}
+		s = strings.TrimSpace(s[close+1:])
+	}
+	if n < 0 {
+		n = maxLine
+	}
+	w := &Network{N: n, Comps: comps}
+	if err := w.Validate(); err != nil {
+		return nil, err
+	}
+	return w, nil
 }
 
 func TestStringEmpty(t *testing.T) {

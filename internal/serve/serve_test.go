@@ -318,6 +318,7 @@ func TestRequestValidation(t *testing.T) {
 		{"text form plus stray lines", "/verify", sortnets.Request{Network: sorter4, Lines: 8}, 400},
 		{"zero-based pair", "/verify", sortnets.Request{Lines: 2, Comparators: [][2]int{{0, 1}}}, 400},
 		{"parse error", "/verify", sortnets.Request{Network: "n=4: [zap"}, 400},
+		{"negative explicit n", "/verify", sortnets.Request{Network: "n=-3: [1,2][2,3]"}, 400},
 		{"over line limit", "/verify", sortnets.Request{Network: "n=9:"}, 400},
 		// The limit must reject BEFORE any O(lines) allocation: these
 		// would OOM the daemon if canonicalization ran first.

@@ -63,6 +63,17 @@ func TestFacadeCanonicalDigest(t *testing.T) {
 	}
 }
 
+func TestFacadeCanonicalRejectsInvalidComparator(t *testing.T) {
+	w := &Network{N: 3, Comps: []Comparator{{A: 1, B: 3}}}
+	const want = "network: invalid comparator [2,4] on 3 lines"
+	defer func() {
+		if r := recover(); r != want {
+			t.Errorf("CanonicalNetwork panic = %v, want %q", r, want)
+		}
+	}()
+	CanonicalNetwork(w)
+}
+
 func TestFacadeSelectorAndMerger(t *testing.T) {
 	if r := CheckSelector(SelectionNetwork(8, 3), 3); !r.Holds {
 		t.Errorf("selection network rejected: %s", r)
